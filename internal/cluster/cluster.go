@@ -170,7 +170,8 @@ func (j *Job) NodeOf() []int {
 	return out
 }
 
-// Nodes returns the sorted set of distinct nodes the job uses.
+// Nodes returns the distinct nodes the job uses, in the order their first
+// rank was placed (not sorted).
 func (j *Job) Nodes() []int {
 	seen := make(map[int]bool)
 	var out []int
@@ -186,10 +187,16 @@ func (j *Job) Nodes() []int {
 // Machine is the simulated machine: kernel, network and core allocation
 // state.
 type Machine struct {
-	cfg  Config
-	k    *sim.Kernel
-	net  *netsim.Network
-	used map[CoreID]string
+	cfg Config
+	k   *sim.Kernel
+	net *netsim.Network
+	// owner holds the job name on every core, indexed by coreIndex; ""
+	// marks a free core (allocate rejects nameless jobs).
+	owner []string
+	// free counts each node's unallocated cores; busy counts the allocated
+	// cores of the whole machine.
+	free []int
+	busy int
 }
 
 // New builds a machine on the given kernel.
@@ -201,7 +208,17 @@ func New(k *sim.Kernel, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{cfg: cfg, k: k, net: net, used: make(map[CoreID]string)}, nil
+	m := &Machine{
+		cfg:   cfg,
+		k:     k,
+		net:   net,
+		owner: make([]string, cfg.TotalCores()),
+		free:  make([]int, cfg.Nodes()),
+	}
+	for n := range m.free {
+		m.free[n] = cfg.CoresPerNode()
+	}
+	return m, nil
 }
 
 // MustNew is New that panics on configuration errors.
@@ -269,23 +286,33 @@ func (m *Machine) CyclesToDuration(cycles float64) sim.Duration {
 	return sim.Duration(cycles / m.cfg.ClockHz * float64(sim.Second))
 }
 
-// FreeCores returns the number of unallocated cores on the given node.
-func (m *Machine) FreeCores(node int) int {
-	free := 0
-	for s := 0; s < m.cfg.SocketsPerNode; s++ {
-		for c := 0; c < m.cfg.CoresPerSocket; c++ {
-			if _, ok := m.used[CoreID{Node: node, Socket: s, Core: c}]; !ok {
-				free++
-			}
-		}
+// coreIndex returns the core's position in the occupancy table, or -1 if
+// the id lies outside the machine.
+func (m *Machine) coreIndex(c CoreID) int {
+	if c.Node < 0 || c.Node >= m.cfg.Nodes() ||
+		c.Socket < 0 || c.Socket >= m.cfg.SocketsPerNode ||
+		c.Core < 0 || c.Core >= m.cfg.CoresPerSocket {
+		return -1
 	}
-	return free
+	return (c.Node*m.cfg.SocketsPerNode+c.Socket)*m.cfg.CoresPerSocket + c.Core
+}
+
+// FreeCores returns the number of unallocated cores on the given node (a
+// node outside the machine has no allocated cores, so all of them).
+func (m *Machine) FreeCores(node int) int {
+	if node < 0 || node >= len(m.free) {
+		return m.cfg.CoresPerNode()
+	}
+	return m.free[node]
 }
 
 // AllocatedJobOn returns the job name occupying a core, if any.
 func (m *Machine) AllocatedJobOn(core CoreID) (string, bool) {
-	name, ok := m.used[core]
-	return name, ok
+	i := m.coreIndex(core)
+	if i < 0 || m.owner[i] == "" {
+		return "", false
+	}
+	return m.owner[i], true
 }
 
 // AllocateSpread places ranksPerSocket ranks of a new job on every socket of
@@ -309,7 +336,7 @@ func (m *Machine) AllocatePlaced(name string, ranksPerSocket, nodes int, policy 
 // AllocateOnNodes places ranksPerSocket ranks per socket on exactly the given
 // nodes, in the given order.
 func (m *Machine) AllocateOnNodes(name string, ranksPerSocket int, nodes []int) (*Job, error) {
-	seen := make(map[int]bool, len(nodes))
+	seen := make([]bool, m.cfg.Nodes())
 	for _, node := range nodes {
 		if node < 0 || node >= m.cfg.Nodes() {
 			return nil, fmt.Errorf("cluster: node %d outside [0, %d)", node, m.cfg.Nodes())
@@ -334,7 +361,7 @@ func (m *Machine) allocate(name string, ranksPerSocket, nodes int, order []int) 
 	if nodes <= 0 || nodes > m.cfg.Nodes() {
 		return nil, fmt.Errorf("cluster: node count %d outside [1, %d]", nodes, m.cfg.Nodes())
 	}
-	var placements []Placement
+	placements := make([]Placement, 0, nodes*m.cfg.SocketsPerNode*ranksPerSocket)
 	rank := 0
 	for n := 0; n < nodes; n++ {
 		node := n
@@ -343,40 +370,48 @@ func (m *Machine) allocate(name string, ranksPerSocket, nodes int, order []int) 
 		}
 		for s := 0; s < m.cfg.SocketsPerNode; s++ {
 			allocated := 0
+			base := (node*m.cfg.SocketsPerNode + s) * m.cfg.CoresPerSocket
 			for c := 0; c < m.cfg.CoresPerSocket && allocated < ranksPerSocket; c++ {
-				core := CoreID{Node: node, Socket: s, Core: c}
-				if _, taken := m.used[core]; taken {
+				if m.owner[base+c] != "" {
 					continue
 				}
-				placements = append(placements, Placement{Rank: rank, Core: core})
+				placements = append(placements, Placement{Rank: rank, Core: CoreID{Node: node, Socket: s, Core: c}})
 				rank++
 				allocated++
 			}
 			if allocated < ranksPerSocket {
-				// Roll back the partial allocation bookkeeping below never
-				// happened (we only commit at the end), so just fail.
+				// Nothing is committed until every socket has fit, so a
+				// failure leaves the occupancy untouched.
 				return nil, fmt.Errorf("cluster: not enough free cores on node %d socket %d for job %q", node, s, name)
 			}
 		}
 	}
 	job := &Job{Name: name, Placements: placements}
 	for _, p := range placements {
-		m.used[p.Core] = name
+		m.owner[m.coreIndex(p.Core)] = name
+		m.free[p.Core.Node]--
 	}
+	m.busy += len(placements)
 	return job, nil
 }
 
-// Release frees every core held by the job.
+// Release frees every core held by the job.  Cores the job no longer holds
+// (a second release, or a core since reallocated to another job) are left
+// alone.
 func (m *Machine) Release(job *Job) {
-	if job == nil {
+	if job == nil || job.Name == "" {
 		return
 	}
 	for _, p := range job.Placements {
-		if m.used[p.Core] == job.Name {
-			delete(m.used, p.Core)
+		i := m.coreIndex(p.Core)
+		if i < 0 || m.owner[i] != job.Name {
+			continue
 		}
+		m.owner[i] = ""
+		m.free[p.Core.Node]++
+		m.busy--
 	}
 }
 
 // AllocatedCores returns the number of cores currently allocated to any job.
-func (m *Machine) AllocatedCores() int { return len(m.used) }
+func (m *Machine) AllocatedCores() int { return m.busy }

@@ -178,8 +178,9 @@ type SchedPolicyRow struct {
 	// (always zero without a health timeline — see the faults campaign).
 	Requeues int
 	// OracleLookups and OracleMisses count the coefficient queries this
-	// policy's runs issued and how many of them had to resolve through the
-	// engine (zero on a prefetched campaign — every query is a memo hit).
+	// policy's runs issued — each run asks once per distinct query — and how
+	// many of them had to resolve through the engine (zero on a prefetched
+	// campaign — every query is a memo hit).
 	OracleLookups, OracleMisses int64
 	// Cache is the engine activity attributed to this policy's runs
 	// (non-zero only when the oracle memo missed).

@@ -62,10 +62,11 @@ type Oracle interface {
 // first-named job takes SlotA, the second SlotB, and each direction's
 // degradation is judged against the matching slot baseline.
 //
-// Resolved coefficients are memoized: the scheduler's event loop asks for
-// the same O(apps²) values on every rate refresh, and the memo answers them
-// with a map lookup instead of re-hashing RunSpecs through the engine.
-// All methods are safe for concurrent use (the campaign prefetch fans out
+// Resolved coefficients are memoized across runs: each Run asks once per
+// distinct query (its own per-run table answers every repeat), and the memo
+// answers those first-touch queries for every later run, policy and stream
+// with a map lookup instead of re-hashing RunSpecs through the engine.  All
+// methods are safe for concurrent use (the campaign prefetch fans out
 // across workers).
 type EngineOracle struct {
 	eng  *engine.Engine

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/hpcperf/switchprobe/internal/core"
 	"github.com/hpcperf/switchprobe/internal/model"
 )
 
@@ -65,7 +66,9 @@ type Candidate struct {
 // Policy decides which candidate leaf an arriving job is placed on.
 // Candidates are always presented in ascending leaf order and are never
 // empty; the returned index selects one of them, and the score is recorded
-// in the placement-decision log (0 for score-free policies).
+// in the placement-decision log (0 for score-free policies).  The candidate
+// slice and its Residents are only valid during the call: the scheduler
+// reuses their storage.
 //
 // A policy may return Defer instead of an index to leave the job at the
 // head of the queue: the scheduler re-offers it after the next completion
@@ -230,6 +233,12 @@ type PredictorGuided struct {
 	// degraded, so healthy leaves win unless they predict contention worse
 	// than the degraded fabric itself.  Zero disables the penalty.
 	DegradedPenaltyPct float64
+
+	// profiles and sigs memoize the oracle's answers per workload, filled on
+	// first use.  Campaigns build one policy per run, and within a run an
+	// Oracle answers the same query the same way.
+	profiles map[string]core.Profile
+	sigs     map[string]core.Signature
 }
 
 // DefaultScoreMarginPct is the default equivalence band for candidate
@@ -257,7 +266,34 @@ func NewPredictorGuided(pred model.Predictor, oracle Oracle) *PredictorGuided {
 		ScoreMarginPct:     DefaultScoreMarginPct,
 		DeferThresholdPct:  DefaultDeferThresholdPct,
 		DegradedPenaltyPct: DefaultDegradedPenaltyPct,
+		profiles:           make(map[string]core.Profile),
+		sigs:               make(map[string]core.Signature),
 	}
+}
+
+// profile returns the oracle's profile of app, asking it only on first use.
+func (p *PredictorGuided) profile(app string) (core.Profile, error) {
+	if v, ok := p.profiles[app]; ok {
+		return v, nil
+	}
+	v, err := p.oracle.Profile(app)
+	if err == nil {
+		p.profiles[app] = v
+	}
+	return v, err
+}
+
+// signature returns the oracle's signature of app, asking it only on first
+// use.
+func (p *PredictorGuided) signature(app string) (core.Signature, error) {
+	if v, ok := p.sigs[app]; ok {
+		return v, nil
+	}
+	v, err := p.oracle.Signature(app)
+	if err == nil {
+		p.sigs[app] = v
+	}
+	return v, err
 }
 
 // Name implements Policy.
@@ -337,17 +373,17 @@ func (p *PredictorGuided) scoreCandidate(job JobSpec, c Candidate) (float64, err
 	if len(c.Residents) == 0 {
 		return 0, nil
 	}
-	jobProfile, err := p.oracle.Profile(job.Workload)
+	jobProfile, err := p.profile(job.Workload)
 	if err != nil {
 		return 0, err
 	}
-	jobSig, err := p.oracle.Signature(job.Workload)
+	jobSig, err := p.signature(job.Workload)
 	if err != nil {
 		return 0, err
 	}
 	total := 0.0
 	for _, resident := range c.Residents {
-		resSig, err := p.oracle.Signature(resident)
+		resSig, err := p.signature(resident)
 		if err != nil {
 			return 0, err
 		}
@@ -355,7 +391,7 @@ func (p *PredictorGuided) scoreCandidate(job JobSpec, c Candidate) (float64, err
 		if err != nil {
 			return 0, fmt.Errorf("sched: predicting %s next to %s: %w", job.Workload, resident, err)
 		}
-		resProfile, err := p.oracle.Profile(resident)
+		resProfile, err := p.profile(resident)
 		if err != nil {
 			return 0, err
 		}

@@ -224,6 +224,7 @@ type Result struct {
 // running is the mutable state of one resident job.
 type running struct {
 	spec      JobSpec
+	app       int // the workload's index in the run's coefTable
 	alloc     *cluster.Job
 	leaf      int
 	start     float64
@@ -240,7 +241,15 @@ type clusterState struct {
 	leafNodes    [][]int
 	nodesPerSlot int
 	slotsPerLeaf []int
-	resident     map[int][]*running // leaf -> jobs
+	// used counts each leaf's occupied slots, busy the whole cluster's.
+	used     []int
+	busy     int
+	resident [][]*running // leaf -> jobs, in placement order
+	// cands, residents and nodes are scratch buffers reused on every event:
+	// candidates' slices are only valid until its next call.
+	cands     []Candidate
+	residents []string
+	nodes     []int
 }
 
 func newClusterState(cfg Config) (*clusterState, error) {
@@ -252,7 +261,8 @@ func newClusterState(cfg Config) (*clusterState, error) {
 	cs := &clusterState{
 		m:         m,
 		leafNodes: make([][]int, leaves),
-		resident:  make(map[int][]*running, leaves),
+		used:      make([]int, leaves),
+		resident:  make([][]*running, leaves),
 	}
 	for n := 0; n < cfg.Machine.Nodes(); n++ {
 		leaf := m.LeafOf(n)
@@ -278,65 +288,66 @@ func newClusterState(cfg Config) (*clusterState, error) {
 	return cs, nil
 }
 
-// freeNodes returns the leaf's fully idle nodes in ascending order.
-func (cs *clusterState) freeNodes(leaf int) []int {
-	full := cs.m.Config().CoresPerNode()
-	var out []int
-	for _, n := range cs.leafNodes[leaf] {
-		if cs.m.FreeCores(n) == full {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // freeSlots returns the number of job slots still available on the leaf.
-// Because every job holds exactly Slots×nodesPerSlot whole nodes, the
-// node-derived count always equals capacity minus resident slots.
+// Every job holds exactly Slots×nodesPerSlot whole nodes of its leaf, so
+// the leaf's idle nodes number len(leafNodes)−used×nodesPerSlot; place
+// checks that count against the machine's actual idle nodes.
 func (cs *clusterState) freeSlots(leaf int) int {
-	return len(cs.freeNodes(leaf)) / cs.nodesPerSlot
-}
-
-func slotsUsed(rs []*running) int {
-	total := 0
-	for _, r := range rs {
-		total += r.spec.Slots
-	}
-	return total
+	return (len(cs.leafNodes[leaf]) - cs.used[leaf]*cs.nodesPerSlot) / cs.nodesPerSlot
 }
 
 // candidates lists the leaves that can host the job, in ascending leaf
-// order.
+// order.  The result and its Residents slices share scratch buffers that the
+// next call overwrites.
 func (cs *clusterState) candidates(job JobSpec) []Candidate {
-	var cands []Candidate
+	cands := cs.cands[:0]
+	residents := cs.residents[:0]
 	for leaf := range cs.leafNodes {
 		free := cs.freeSlots(leaf)
 		if free < job.Slots {
 			continue
 		}
-		c := Candidate{Leaf: leaf, FreeSlots: free, UsedSlots: slotsUsed(cs.resident[leaf])}
-		for _, r := range cs.resident[leaf] {
-			c.Residents = append(c.Residents, r.spec.Workload)
+		c := Candidate{Leaf: leaf, FreeSlots: free, UsedSlots: cs.used[leaf]}
+		if rs := cs.resident[leaf]; len(rs) > 0 {
+			start := len(residents)
+			for _, r := range rs {
+				residents = append(residents, r.spec.Workload)
+			}
+			c.Residents = residents[start:len(residents):len(residents)]
 		}
 		cands = append(cands, c)
 	}
+	cs.cands, cs.residents = cands, residents
 	return cands
 }
 
 // place allocates the job's nodes on the chosen leaf through the cluster
-// allocation machinery and registers it as resident.
+// allocation machinery — the leaf's lowest-numbered idle nodes — and
+// registers it as resident.
 func (cs *clusterState) place(r *running) error {
-	free := cs.freeNodes(r.leaf)
 	need := r.spec.Slots * cs.nodesPerSlot
+	full := cs.m.Config().CoresPerNode()
+	free := cs.nodes[:0]
+	for _, n := range cs.leafNodes[r.leaf] {
+		if len(free) == need {
+			break
+		}
+		if cs.m.FreeCores(n) == full {
+			free = append(free, n)
+		}
+	}
+	cs.nodes = free
 	if len(free) < need {
 		return fmt.Errorf("sched: leaf %d has %d free nodes, job %s needs %d", r.leaf, len(free), r.spec.Name(), need)
 	}
-	alloc, err := cs.m.AllocateOnNodes(r.spec.Name(), cs.m.Config().CoresPerSocket, free[:need])
+	alloc, err := cs.m.AllocateOnNodes(r.spec.Name(), cs.m.Config().CoresPerSocket, free)
 	if err != nil {
 		return err
 	}
 	r.alloc = alloc
 	cs.resident[r.leaf] = append(cs.resident[r.leaf], r)
+	cs.used[r.leaf] += r.spec.Slots
+	cs.busy += r.spec.Slots
 	return nil
 }
 
@@ -347,18 +358,11 @@ func (cs *clusterState) release(r *running) {
 	for i, other := range rs {
 		if other == r {
 			cs.resident[r.leaf] = append(rs[:i], rs[i+1:]...)
+			cs.used[r.leaf] -= r.spec.Slots
+			cs.busy -= r.spec.Slots
 			break
 		}
 	}
-}
-
-// busySlots returns the total occupied slot count.
-func (cs *clusterState) busySlots() int {
-	total := 0
-	for _, rs := range cs.resident {
-		total += slotsUsed(rs)
-	}
-	return total
 }
 
 // totalSlots returns the cluster's slot capacity.
@@ -410,7 +414,14 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	res := Result{Policy: cfg.Policy.Name(), TotalSlots: cs.totalSlots()}
+	coefs := newCoefTable(cfg.Oracle, pending)
+	res := Result{
+		Policy:     cfg.Policy.Name(),
+		TotalSlots: cs.totalSlots(),
+		Jobs:       make([]JobOutcome, 0, len(pending)),
+		Decisions:  make([]Decision, 0, len(pending)),
+		Timeline:   make([]TimelinePoint, 0, 2*len(pending)),
+	}
 	var (
 		queue   []JobSpec
 		active  []*running
@@ -451,13 +462,7 @@ func Run(cfg Config) (Result, error) {
 			if other == r {
 				continue
 			}
-			var pct float64
-			var err error
-			if other.leaf == r.leaf {
-				pct, err = cfg.Oracle.SharedSlowdownPct(r.spec.Workload, other.spec.Workload)
-			} else {
-				pct, err = cfg.Oracle.DisjointSlowdownPct(r.spec.Workload, other.spec.Workload)
-			}
+			pct, err := coefs.slowdownPct(other.leaf == r.leaf, r.app, other.app)
 			if err != nil {
 				return 0, err
 			}
@@ -510,7 +515,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		util := 0.0
 		for _, r := range active {
-			u, err := cfg.Oracle.UtilizationPct(r.spec.Workload)
+			u, err := coefs.utilizationPct(r.app)
 			if err != nil {
 				return err
 			}
@@ -522,7 +527,7 @@ func Run(cfg Config) (Result, error) {
 		res.Timeline = append(res.Timeline, TimelinePoint{
 			Time:           now,
 			Running:        len(active),
-			BusySlots:      cs.busySlots(),
+			BusySlots:      cs.busy,
 			UtilizationPct: util,
 		})
 		return nil
@@ -570,7 +575,8 @@ func Run(cfg Config) (Result, error) {
 				return fmt.Errorf("sched: policy %s chose candidate %d of %d for %s", cfg.Policy.Name(), choice, len(cands), job.Name())
 			}
 			cand := cands[choice]
-			iter, err := cfg.Oracle.SoloIterationSec(job.Workload)
+			app := coefs.index[job.Workload]
+			iter, err := coefs.soloIterationSec(app)
 			if err != nil {
 				return err
 			}
@@ -580,6 +586,7 @@ func Run(cfg Config) (Result, error) {
 			}
 			r := &running{
 				spec:      job,
+				app:       app,
 				leaf:      cand.Leaf,
 				start:     now,
 				solo:      solo,
@@ -603,7 +610,7 @@ func Run(cfg Config) (Result, error) {
 				Score:     score,
 				Queued:    len(queue),
 				Feasible:  len(cands),
-				Residents: cand.Residents,
+				Residents: append([]string(nil), cand.Residents...),
 			})
 			placed = true
 		}

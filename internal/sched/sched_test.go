@@ -1,8 +1,13 @@
 package sched
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hpcperf/switchprobe/internal/cluster"
@@ -445,4 +450,255 @@ func TestNewPolicy(t *testing.T) {
 	if _, err := NewPolicy(PolicyPredictor, 1, nil, nil); err == nil {
 		t.Fatal("expected error for predictor policy without a predictor")
 	}
+}
+
+// goldenApps are the workloads of the golden schedule: two network-heavy
+// and two quiet ones, with distinct solo times so completion order depends
+// on every rate.
+var goldenApps = []string{"Heavy", "Bursty", "Quiet", "Compute"}
+
+// goldenOracle returns a static oracle with asymmetric shared slowdowns,
+// partly missing disjoint slowdowns (which default to zero), utilizations
+// whose sum crosses the 100% cap, and predictor inputs for every workload.
+// An uncontended fabric (the star) gets a fifth of the shared slowdowns.
+func goldenOracle(contended bool) *StaticOracle {
+	o := &StaticOracle{
+		IterSec:         map[string]float64{"Heavy": 0.05, "Bursty": 0.03, "Quiet": 0.02, "Compute": 0.04},
+		Shared:          map[string]float64{},
+		Disjoint:        map[string]float64{},
+		Util:            map[string]float64{"Heavy": 70, "Bursty": 45, "Quiet": 10, "Compute": 20},
+		Sigs:            map[string]core.Signature{},
+		Profiles:        map[string]core.Profile{},
+		ContendedFabric: contended,
+	}
+	scale := 1.0
+	if !contended {
+		scale = 0.2
+	}
+	for i, a := range goldenApps {
+		o.Sigs[a] = core.Signature{Component: a}
+		o.Profiles[a] = core.Profile{App: a}
+		for j, b := range goldenApps {
+			o.Shared[PairKey(a, b)] = scale * (float64((i+1)*(2*j+3)*7%150) + 0.25*float64(i))
+			if (i+j)%2 == 0 {
+				o.Disjoint[PairKey(a, b)] = float64(i+j) * 1.5
+			}
+		}
+	}
+	return o
+}
+
+// goldenPredictor predicts heavy pairings far above the deferral threshold
+// and quiet ones inside the consolidation margin.
+func goldenPredictor() fakePredictor {
+	table := map[string]float64{}
+	for i, a := range goldenApps {
+		for j, b := range goldenApps {
+			table[PairKey(a, b)] = float64((3*i+5*j+1)*11%97) - 4
+		}
+	}
+	return fakePredictor{table: table}
+}
+
+// goldenJobs generates the golden workload stream: about 60% load on the
+// nine slots of the golden machines, a quarter of the jobs two slots wide.
+func goldenJobs(tb testing.TB, n int) []JobSpec {
+	tb.Helper()
+	jobs, err := ArrivalSpec{
+		Jobs: n, Seed: 11, Mix: goldenApps,
+		MeanInterarrival: 0.6, MinIterations: 10, MaxIterations: 60,
+		TwoSlotFraction: 0.25,
+	}.Generate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return jobs
+}
+
+// goldenStreamHash runs every policy over one 512-job stream on the given
+// machine and folds each full Result — jobs, decisions with residents,
+// timeline and summary fields — into h.  Floats print in Go's shortest
+// round-trip form, so the digest pins every bit of every field.
+func goldenStreamHash(t *testing.T, h io.Writer, label string, contended bool, cfg Config) (requeues, deferrals, colocations int) {
+	t.Helper()
+	jobs := goldenJobs(t, 512)
+	cfg.Jobs = jobs
+	cfg.NodesPerSlot = 2
+	cfg.Seed = 5
+	for _, name := range PolicyNames() {
+		oracle := goldenOracle(contended)
+		policy, err := NewPolicy(name, 5, goldenPredictor(), oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policy, cfg.Oracle = policy, oracle
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", label, name, err)
+		}
+		if len(res.Jobs) != len(jobs) {
+			t.Fatalf("%s/%s: %d outcomes for %d jobs", label, name, len(res.Jobs), len(jobs))
+		}
+		fmt.Fprintf(h, "%s/%s\n%+v\n", label, name, res)
+		requeues += res.Requeues
+		deferrals += res.Deferrals
+		colocations += res.Colocations
+	}
+	return requeues, deferrals, colocations
+}
+
+// goldenScheduleSHA256 is the digest of goldenStreamHash over the three
+// machines of TestRunGoldenSchedule.  It was recorded before the event loop
+// was optimised; any change to it means a schedule changed.
+const goldenScheduleSHA256 = "f24c6b303ca34a7f30a034854d01ccf264fe06048afed011e9411d5e1b34ab40"
+
+// TestRunGoldenSchedule pins the full output of Run: all five policies over
+// a 512-job stream on a 3-leaf fat-tree and on the star, plus a fat-tree run
+// whose health feed kills, revives and degrades leaves so the requeue path
+// is covered.
+func TestRunGoldenSchedule(t *testing.T) {
+	h := sha256.New()
+	fattree := testMachine(18, 3) // 6 nodes per leaf: three 2-node slots
+	goldenStreamHash(t, h, "fattree3", true, Config{Machine: fattree})
+	_, deferrals, colocations := goldenStreamHash(t, h, "star", false, Config{Machine: testMachine(18, 1)})
+	if colocations == 0 {
+		t.Fatal("golden star runs never co-located a job")
+	}
+	requeues, deferrals2, _ := goldenStreamHash(t, h, "fattree3-health", true, Config{
+		Machine: fattree,
+		Health: healthTimeline(map[int][]struct {
+			At float64
+			H  LeafHealth
+		}{
+			0: {{At: 150, H: HealthDead}, {At: 160, H: HealthOK}},
+			1: {{At: 30, H: HealthDead}, {At: 45, H: HealthOK}},
+			2: {{At: 60, H: HealthDegraded}, {At: 70, H: HealthOK}},
+		}),
+		HealthEvents: []float64{150, 30, 45, 60, 70, 160},
+	})
+	if requeues == 0 {
+		t.Fatal("golden health runs never requeued a job")
+	}
+	if deferrals+deferrals2 == 0 {
+		t.Fatal("golden runs never deferred a placement")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenScheduleSHA256 {
+		t.Fatalf("golden schedule digest %s, want %s", got, goldenScheduleSHA256)
+	}
+}
+
+// countingOracle counts the calls made to the wrapped oracle per method and
+// argument tuple.
+type countingOracle struct {
+	Oracle
+	calls map[string]int
+}
+
+func (c *countingOracle) count(call string) { c.calls[call]++ }
+
+func (c *countingOracle) SoloIterationSec(app string) (float64, error) {
+	c.count("SoloIterationSec(" + app + ")")
+	return c.Oracle.SoloIterationSec(app)
+}
+
+func (c *countingOracle) SharedSlowdownPct(target, corunner string) (float64, error) {
+	c.count("SharedSlowdownPct(" + target + "," + corunner + ")")
+	return c.Oracle.SharedSlowdownPct(target, corunner)
+}
+
+func (c *countingOracle) DisjointSlowdownPct(target, corunner string) (float64, error) {
+	c.count("DisjointSlowdownPct(" + target + "," + corunner + ")")
+	return c.Oracle.DisjointSlowdownPct(target, corunner)
+}
+
+func (c *countingOracle) UtilizationPct(app string) (float64, error) {
+	c.count("UtilizationPct(" + app + ")")
+	return c.Oracle.UtilizationPct(app)
+}
+
+func (c *countingOracle) Signature(app string) (core.Signature, error) {
+	c.count("Signature(" + app + ")")
+	return c.Oracle.Signature(app)
+}
+
+func (c *countingOracle) Profile(app string) (core.Profile, error) {
+	c.count("Profile(" + app + ")")
+	return c.Oracle.Profile(app)
+}
+
+// TestRunAsksOracleOncePerTuple pins the per-run coefficient table: one Run
+// asks the oracle for each distinct argument tuple at most once, however
+// many events reuse the answer.
+func TestRunAsksOracleOncePerTuple(t *testing.T) {
+	for _, name := range PolicyNames() {
+		oracle := &countingOracle{Oracle: goldenOracle(true), calls: map[string]int{}}
+		policy, err := NewPolicy(name, 5, goldenPredictor(), oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Config{
+			Machine: testMachine(18, 3), NodesPerSlot: 2, Seed: 5,
+			Jobs: goldenJobs(t, 512), Policy: policy, Oracle: oracle,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Colocations == 0 {
+			t.Fatalf("%s: no co-located jobs, so no shared slowdown was needed", name)
+		}
+		shared := 0
+		for call, n := range oracle.calls {
+			if n > 1 {
+				t.Errorf("%s: %s asked %d times in one run", name, call, n)
+			}
+			if strings.HasPrefix(call, "SharedSlowdownPct(") {
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("%s: the run never asked for a shared slowdown", name)
+		}
+	}
+}
+
+// TestRunAsksOnlyForCoefficientsItUses: coefficients resolve on first use,
+// so a shared slowdown missing for a pair that never shares a leaf is never
+// asked for, while the same gap fails the run once the pair co-runs.
+func TestRunAsksOnlyForCoefficientsItUses(t *testing.T) {
+	oracle := flatOracle(0.1, 50, "A", "B")
+	delete(oracle.Shared, PairKey("A", "B"))
+	delete(oracle.Shared, PairKey("B", "A"))
+	jobs := []JobSpec{
+		{ID: 0, Workload: "A", Slots: 1, Iterations: 10, Arrival: 0},
+		{ID: 1, Workload: "B", Slots: 1, Iterations: 10, Arrival: 0},
+	}
+	if _, err := Run(Config{Machine: testMachine(4, 2), Jobs: jobs, Policy: Spread{}, Oracle: oracle}); err != nil {
+		t.Fatalf("spread keeps A and B apart, yet the run failed: %v", err)
+	}
+	if _, err := Run(Config{Machine: testMachine(4, 2), Jobs: jobs, Policy: Pack{}, Oracle: oracle}); err == nil {
+		t.Fatal("pack co-locates A and B without a shared slowdown, yet the run succeeded")
+	}
+}
+
+// BenchmarkSchedRun times one scheduler run — every placement decision,
+// rate refresh and completion of a 2048-job stream — under the
+// predictor-guided policy on the 3-leaf fat-tree, from a static oracle.
+func BenchmarkSchedRun(b *testing.B) {
+	jobs := goldenJobs(b, 2048)
+	oracle := goldenOracle(true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(Config{
+			Machine: testMachine(18, 3), NodesPerSlot: 2, Seed: 5,
+			Jobs: jobs, Policy: NewPredictorGuided(goldenPredictor(), oracle), Oracle: oracle,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Jobs) != len(jobs) {
+			b.Fatalf("%d outcomes for %d jobs", len(res.Jobs), len(jobs))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jobs)), "ns/job")
 }
